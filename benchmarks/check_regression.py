@@ -6,9 +6,10 @@ Two benchmark payloads are guarded:
   ``benchmarks/test_inference_throughput.py`` persists its numbers to
   ``BENCH_inference.json``; the gate keeps PR 1's compile-once (10.5x)
   and batched (22x) speedups from silently eroding.
-- ``--suite obs`` — ``tests/perf/test_obs_overhead.py`` persists
-  ``BENCH_obs.json`` (enabled-vs-disabled instrumentation overhead and
-  ``/metrics`` scrape latency); the gate keeps the observability layer's
+- ``--suite obs`` — ``tests/perf/test_obs_overhead.py`` (part of the
+  tier-1 suite) writes ``.bench-results/BENCH_obs.json``, never the
+  committed ``BENCH_obs.json`` (enabled-vs-disabled instrumentation
+  overhead and ``/metrics`` scrape latency); the gate keeps the observability layer's
   "near-zero overhead" contract from silently eroding.  Once the
   baseline carries the SLO-budget ``budgets`` section, the ratio of
   per-evaluation burn tracking to once-per-publish budget derivation is
@@ -48,11 +49,17 @@ Usage (as CI runs it)::
         --baseline baseline.json \
         --fresh benchmarks/results/BENCH_inference.json
 
-    cp BENCH_obs.json obs-baseline.json
     python -m pytest tests/perf/test_obs_overhead.py -q
     python benchmarks/check_regression.py --suite obs \
-        --baseline obs-baseline.json \
-        --fresh benchmarks/results/BENCH_obs.json
+        --baseline BENCH_obs.json \
+        --fresh .bench-results/BENCH_obs.json
+
+Refreshing the committed obs baseline is a deliberate step, never a side
+effect of running the tests: on a quiet machine, run the benchmark, gate
+it against the old baseline as above, then copy the fresh payload over
+the committed one and commit it on its own::
+
+    cp .bench-results/BENCH_obs.json BENCH_obs.json
 """
 
 from __future__ import annotations

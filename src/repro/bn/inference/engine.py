@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -419,7 +419,8 @@ class CompiledDiscreteModel:
         ``evidence_rows`` is either a mapping ``{variable: column of N
         state indices}`` or a sequence of N ``{variable: state}`` rows
         (all rows must observe the same variable set — that *is* the
-        compiled signature).  Columnar 1-D integer arrays are used
+        compiled signature; N empty rows ask for the evidence-free
+        posterior N times).  Columnar 1-D integer arrays are used
         as-is, zero-copy.  Returns an ``(N, card(V1), ...)`` array whose
         row ``i`` is the normalized posterior
         ``P(variables | evidence_rows[i])``, identical (up to float
@@ -441,27 +442,33 @@ class CompiledDiscreteModel:
                 )
             use_f32 = dtype == np.dtype(np.float32)
         variables = tuple(map(str, variables))
-        columns = _evidence_columns(evidence_rows)
+        if isinstance(evidence_rows, Mapping):
+            columns = _evidence_columns(evidence_rows)
+            n = next(iter(columns.values())).size if columns else -1
+        else:
+            evidence_rows = list(evidence_rows)
+            columns = _evidence_columns(evidence_rows)
+            n = len(evidence_rows)
         key = (variables, frozenset(columns))
         plan = self._lookup(key)
         if plan is None:
             plan = self._compile(key, variables, frozenset(columns))
-        if not columns:
+        if n < 0:
             raise InferenceError("query_batch needs at least one evidence variable")
-        n = -1
-        for v, col in columns.items():
-            if n == -1:
-                n = col.size
-            elif col.size != n:
-                raise InferenceError(
-                    "evidence columns have mismatched lengths "
-                    f"{ {u: c.size for u, c in columns.items()} }"
-                )
+        if any(col.size != n for col in columns.values()):
+            raise InferenceError(
+                "evidence columns have mismatched lengths "
+                f"{ {u: c.size for u, c in columns.items()} }"
+            )
         if n == 0:
             raise InferenceError("query_batch needs at least one evidence row")
         try:
-            flat = np.ravel_multi_index(
-                tuple(columns[v] for v in plan.evidence_vars), plan.ev_cards
+            flat = (
+                np.ravel_multi_index(
+                    tuple(columns[v] for v in plan.evidence_vars), plan.ev_cards
+                )
+                if columns
+                else np.zeros(n, dtype=np.intp)
             )
         except ValueError:
             for v in plan.evidence_vars:

@@ -29,7 +29,6 @@ from repro.bn.learning.scores import (
     ScoreCache,
 )
 from repro.bn.learning.k2 import k2_search, k2_random_restarts, K2Result
-from repro.bn.learning.hill_climbing import hill_climb, HillClimbResult
 from repro.bn.learning.exhaustive import exhaustive_search
 from repro.bn.learning.em import em_gaussian
 
@@ -47,8 +46,6 @@ __all__ = [
     "k2_search",
     "k2_random_restarts",
     "K2Result",
-    "hill_climb",
-    "HillClimbResult",
     "exhaustive_search",
     "em_gaussian",
 ]

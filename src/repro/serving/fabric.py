@@ -15,7 +15,12 @@ real-traffic throughput.  This module is that front-end:
   :class:`~repro.serving.breaker.CircuitBreaker`, plus a per-tenant
   :class:`~repro.serving.server.ServerStats` rollup — one tenant's storm
   or poisoned traffic is shed at *its* budget and never bleeds into its
-  neighbours' accounting.
+  neighbours' accounting.  All three entry points (``query``,
+  ``query_batch``, ``query_batch_columns``) pass one gate — one breaker
+  probe and one admission decision per call; a shed call counts exactly
+  its own rows — and one settle: one breaker/admission outcome per call
+  and every row counted once, through the same
+  :class:`~repro.serving.server.Tally` the shard servers count with.
 - :class:`DynamicBatcher` — a thread-safe request queue that coalesces
   concurrent single ``query`` calls sharing an evidence signature (and
   shard) into ``query_batch`` calls.  Buckets flush when they reach
@@ -50,11 +55,11 @@ from __future__ import annotations
 import threading
 import time
 import zlib
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
 
 from repro.exceptions import ServingError
 from repro.obs.runtime import OBS as _OBS
@@ -74,6 +79,7 @@ from repro.serving.server import (
     ModelServer,
     QueryResult,
     ServerStats,
+    Tally,
 )
 
 
@@ -157,6 +163,16 @@ class HedgePolicy:
             raise ServingError("warmup must be >= 1")
 
 
+def _n_rows(columns: Mapping) -> int:
+    return max((len(c) for c in columns.values()), default=0)
+
+
+def _records(result) -> "list":
+    """Any entry point's result as records carrying ``status`` and
+    ``deadline_exceeded`` (a columnar batch is one record)."""
+    return result if isinstance(result, list) else [result]
+
+
 def _group_failed(result) -> bool:
     """Did this call fail outright (every row FAILED)?
 
@@ -164,15 +180,12 @@ def _group_failed(result) -> bool:
     results (some rows shed/rejected) are real answers whose budgets
     were already charged.
     """
-    if isinstance(result, list):
-        return bool(result) and all(r.status == STATUS_FAILED for r in result)
-    return result.status == STATUS_FAILED
+    records = _records(result)
+    return bool(records) and all(r.status == STATUS_FAILED for r in records)
 
 
 def _group_deadline_missed(result) -> bool:
-    if isinstance(result, list):
-        return any(r.deadline_exceeded for r in result)
-    return result.deadline_exceeded
+    return any(r.deadline_exceeded for r in _records(result))
 
 
 class ReplicaGroup:
@@ -361,22 +374,19 @@ class ReplicaGroup:
     # Dispatch, failover, hedging
     # ------------------------------------------------------------------ #
 
-    def _synth_failed(self, method: str, args: tuple, reason: str):
+    @staticmethod
+    def _synth_failed(method: str, args: tuple, reason: str):
         """A FAILED result shaped like ``method``'s return type."""
-        errors = {"fault": reason}
-        if method == "query_batch":
-            rows = args[1]
-            return [
-                QueryResult(status=STATUS_FAILED, tier_errors=dict(errors))
-                for _ in rows
-            ]
         if method == "query_batch_columns":
-            columns = args[1]
-            n_rows = max((len(c) for c in columns.values()), default=0)
             return ColumnarBatchResult(
-                status=STATUS_FAILED, n_rows=n_rows, tier_errors=errors
+                status=STATUS_FAILED, n_rows=_n_rows(args[1]),
+                tier_errors={"fault": reason},
             )
-        return QueryResult(status=STATUS_FAILED, tier_errors=errors)
+
+        def failed() -> QueryResult:
+            return QueryResult(status=STATUS_FAILED, tier_errors={"fault": reason})
+
+        return [failed() for _ in args[1]] if method == "query_batch" else failed()
 
     def _dispatch(self, idx: int, method: str, args: tuple):
         """One timed call to one replica, health-scored on the way out."""
@@ -651,47 +661,40 @@ class ShardRouter:
     # Budget gate
     # ------------------------------------------------------------------ #
 
-    def _gate(self, state: TenantState) -> "QueryResult | None":
-        """Apply the tenant's breaker + admission; a result means shed."""
+    def _gate(self, state: TenantState, n_rows: int) -> "str | None":
+        """Apply the tenant's breaker + admission to one call of
+        ``n_rows`` rows.  A returned reason means the call is shed; its
+        rows are already counted in the tenant rollup."""
         if not state.breaker.allow():
-            result = QueryResult(
-                status=STATUS_SHED,
-                reasons=(f"tenant {state.name!r} circuit open",),
-            )
-            state.stats._count(result)
-            self._tenant_shed(state, "breaker")
-            return result
-        if state.admission is not None and not state.admission.admit():
-            # The breaker probe above was spent on a query that never
+            why, reason = "breaker", f"tenant {state.name!r} circuit open"
+        elif state.admission is not None and not state.admission.admit():
+            # The breaker probe above was spent on a call that never
             # ran; report it as a non-failure so a half-open tenant is
             # not re-tripped by its own admission shedding.
             state.breaker.record_success()
-            result = QueryResult(
-                status=STATUS_SHED,
-                reasons=(f"tenant {state.name!r} admission: over budget",),
-            )
-            state.stats._count(result)
-            self._tenant_shed(state, "admission")
-            return result
-        return None
-
-    @staticmethod
-    def _tenant_shed(state: TenantState, why: str) -> None:
+            why, reason = "admission", f"tenant {state.name!r} admission: over budget"
+        else:
+            return None
+        state.stats._count(Tally(statuses={STATUS_SHED: n_rows}))
         if _OBS.enabled:
             m = _OBS.metrics
             m.counter("fabric.tenant_shed").inc()
             m.counter(f"fabric.tenant.{state.name}.shed_{why}").inc()
+        return reason
 
-    def _settle(self, state: TenantState, result: QueryResult) -> QueryResult:
-        """Tenant-side accounting for one completed query."""
-        overload = result.deadline_exceeded or result.status == STATUS_FAILED
-        if overload:
+    @staticmethod
+    def _settle(state: TenantState, result):
+        """Tenant-side accounting for one completed call of any entry
+        point: one breaker and admission outcome (the call overloaded if
+        any row overran its deadline or failed), every row counted."""
+        tally = Tally.of(result)
+        if tally.overloaded:
             state.breaker.record_failure()
         else:
             state.breaker.record_success()
         if state.admission is not None:
-            state.admission.record(overload)
-        state.stats._count(result)
+            state.admission.record(tally.overloaded)
+        state.stats._count(tally)
         return result
 
     # ------------------------------------------------------------------ #
@@ -707,13 +710,13 @@ class ShardRouter:
     ) -> QueryResult:
         """One guarded query under ``tenant``'s budget."""
         state = self.tenant_state(tenant)
-        shed = self._gate(state)
+        shed = self._gate(state, 1)
         if shed is not None:
-            return shed
-        result = self.shards[state.shard].query(
-            variables, evidence, binned=binned
+            return QueryResult(status=STATUS_SHED, reasons=(shed,))
+        return self._settle(
+            state,
+            self.shards[state.shard].query(variables, evidence, binned=binned),
         )
-        return self._settle(state, result)
 
     def query_batch(
         self,
@@ -726,20 +729,13 @@ class ShardRouter:
         if not rows:
             return []
         state = self.tenant_state(tenant)
-        shed = self._gate(state)
+        shed = self._gate(state, len(rows))
         if shed is not None:
-            out = []
-            for _ in range(len(rows) - 1):
-                extra = QueryResult(status=STATUS_SHED, reasons=shed.reasons)
-                state.stats._count(extra)
-                out.append(extra)
-            return [shed] + out
-        results = self.shards[state.shard].query_batch(
-            variables, rows, binned=binned
+            return [QueryResult(status=STATUS_SHED, reasons=(shed,)) for _ in rows]
+        return self._settle(
+            state,
+            self.shards[state.shard].query_batch(variables, rows, binned=binned),
         )
-        for r in results:
-            self._settle(state, r)
-        return results
 
     def query_batch_columns(
         self,
@@ -749,34 +745,16 @@ class ShardRouter:
     ) -> ColumnarBatchResult:
         """Columnar bulk lane under ``tenant``'s budget (binned states)."""
         state = self.tenant_state(tenant)
-        shed = self._gate(state)
+        n_rows = _n_rows(columns)
+        shed = self._gate(state, n_rows)
         if shed is not None:
-            n_rows = 0
-            for col in columns.values():
-                n_rows = max(n_rows, len(col))
-            result = ColumnarBatchResult(
-                status=STATUS_SHED, n_rows=n_rows, reasons=shed.reasons
+            return ColumnarBatchResult(
+                status=STATUS_SHED, n_rows=n_rows, reasons=(shed,)
             )
-            # _gate already counted one row; count the remainder so the
-            # tenant rollup stays row-equivalent.
-            if n_rows > 1:
-                remainder = ColumnarBatchResult(
-                    status=STATUS_SHED, n_rows=n_rows - 1
-                )
-                state.stats._count_columnar(remainder)
-            return result
-        result = self.shards[state.shard].query_batch_columns(
-            variables, columns
+        return self._settle(
+            state,
+            self.shards[state.shard].query_batch_columns(variables, columns),
         )
-        overload = result.deadline_exceeded or result.status == STATUS_FAILED
-        if overload:
-            state.breaker.record_failure()
-        else:
-            state.breaker.record_success()
-        if state.admission is not None:
-            state.admission.record(overload)
-        state.stats._count_columnar(result)
-        return result
 
     # ------------------------------------------------------------------ #
 
@@ -967,9 +945,9 @@ class DynamicBatcher:
         pending = PendingQuery(
             str(tenant), evidence, default_timeout=self.default_result_timeout
         )
-        shed = self.router._gate(state)
+        shed = self.router._gate(state, 1)
         if shed is not None:
-            pending._resolve(shed)
+            pending._resolve(QueryResult(status=STATUS_SHED, reasons=(shed,)))
             return pending
         shard_server = self.router.shards[state.shard]
         if not shard_server.batch_ready:

@@ -55,6 +55,10 @@ class TierAnswer:
     def degraded(self) -> bool:
         return self.tier != TIER_COMPILED
 
+    @property
+    def deadline_exceeded(self) -> bool:
+        return any("deadline" in e for e in self.tier_errors.values())
+
 
 class FallbackChain:
     """Tiered discrete-query execution over one compiled network."""
@@ -146,13 +150,16 @@ class FallbackChain:
         variables: Sequence[str],
         evidence: "Mapping[str, int] | None" = None,
         deadline: "float | None" = None,
+        tried: "Mapping[str, str] | None" = None,
     ) -> TierAnswer:
         """Walk the chain until a tier answers.
 
         ``evidence`` maps variable → bin state (already validated by the
         guard layer); ``deadline`` is a ``time.monotonic()`` timestamp —
         once passed, remaining non-terminal tiers are skipped and the
-        cached prior answers immediately.
+        cached prior answers immediately.  ``tried`` maps tiers the
+        caller already attempted (the server's batch kernel is the
+        compiled tier) to their errors; the walk skips them.
 
         Unknown variables are a *caller* bug, not a backend fault, and
         raise :class:`InferenceError` outright.
@@ -164,8 +171,10 @@ class FallbackChain:
                 f"bad query variables {list(variables)} (unknown: {unknown})"
             )
         evidence = {str(k): int(v) for k, v in (evidence or {}).items()}
-        errors: dict[str, str] = {}
+        errors = dict(tried or {})
         for tier in (TIER_COMPILED, TIER_SWEEP, TIER_SAMPLING):
+            if tier in errors:
+                continue
             if deadline is not None and time.monotonic() > deadline:
                 errors[tier] = "deadline exceeded"
                 continue

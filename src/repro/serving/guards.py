@@ -14,13 +14,21 @@ Two evidence unit systems are supported:
   through the model's discretizer;
 - **binned** — values are integer bin states; they must be integral and
   in ``[0, cardinality)`` for their variable.
+
+:func:`check_row` judges one mapping row; :func:`check_columns` is its
+vectorized form over same-signature evidence columns, the one the
+:class:`~repro.serving.server.ModelServer` core runs.  It only marks the
+refused rows — their reasons come from :func:`check_row`, so both forms
+refuse with the same words.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ def check_row(
             try:
                 state = int(value)
                 drift = float(value) - state
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 reasons.append(f"{name!r}: bin state {value!r} is not an integer")
                 continue
             if drift != 0.0:
@@ -106,6 +114,62 @@ def check_row(
             elif math.isinf(x):
                 reasons.append(f"{name!r}: non-finite mean {x!r}")
     return tuple(reasons)
+
+
+def check_columns(
+    columns: "Mapping[str, Sequence]",
+    n_rows: int,
+    *,
+    cards: "Mapping[str, int]",
+    binned: bool = False,
+) -> "tuple[dict[str, np.ndarray], np.ndarray]":
+    """Vectorized :func:`check_row` over ``n_rows``-long evidence columns
+    of known, allowed variables.
+
+    Returns ``(clean, bad)``: ``bad`` marks the rows :func:`check_row`
+    would refuse, and ``clean`` maps each variable to an ``intp``
+    bin-state (``binned``) or float column, valid wherever ``bad`` is
+    False.  Numeric evidence is judged as one block; any other column
+    value by value.
+    """
+    names = list(columns)
+    try:
+        block = np.array([columns[v] for v in names])
+    except ValueError:  # ragged: some values are sequences themselves
+        block = None
+    if (
+        block is not None
+        and block.shape == (len(names), n_rows)
+        and block.dtype.kind in "biuf"
+    ):
+        if not binned:
+            bad = ~np.isfinite(block)
+        else:
+            card = np.array([cards[v] for v in names]).reshape(-1, 1)
+            bad = (block < 0) | (block >= card)
+            if block.dtype.kind == "f":
+                bad |= np.floor(block) != block
+                block = np.where(bad, 0, block)
+        clean = block.astype(np.intp if binned else float, copy=False)
+        return dict(zip(names, clean)), bad.any(axis=0)
+    bad = np.zeros(n_rows, dtype=bool)
+    clean = {}
+    cast = int if binned else float
+    for name in names:
+        values = list(columns[name])
+        ok = [
+            not check_row(
+                {name: v}, known=(name,), cards=cards, binned=binned,
+                require_nonempty=False,
+            )
+            for v in values
+        ]
+        clean[name] = np.array(
+            [cast(v) if k else 0 for v, k in zip(values, ok)],
+            dtype=np.intp if binned else float,
+        )
+        bad |= ~np.array(ok, dtype=bool)
+    return clean, bad
 
 
 def sanitize_rows(

@@ -11,7 +11,9 @@ it.  The gate sits *in front of* reconstruction:
   fraction capped;
 - **drift** — a mean-shift score per column against an EWMA reference of
   previously accepted windows; a window that jumps too many reference
-  standard deviations is quarantined, not learned from.
+  standard deviations is quarantined, not learned from.  A column's
+  reference starts at the first accepted window in which it has spread;
+  until then the drift check skips it.
 
 Quarantined windows are recorded (index, verdict) for operator review;
 clean windows update the reference statistics and flow to learning.
@@ -121,9 +123,11 @@ class DataQualityGate:
                     f"> {self.max_outlier_fraction:.2f} "
                     f"(robust z > {self.outlier_z:g})"
                 )
-            if col in self._ref_mean:
-                ref_std = max(self._ref_std[col], 1e-12)
-                score = abs(float(clean.mean()) - self._ref_mean[col]) / ref_std
+            if self._ref_std.get(col, 0.0) > 0.0:
+                score = (
+                    abs(float(clean.mean()) - self._ref_mean[col])
+                    / self._ref_std[col]
+                )
                 drift[col] = score
                 if score > self.drift_threshold:
                     reasons.append(
@@ -161,7 +165,11 @@ class DataQualityGate:
             x = x[np.isfinite(x)]
             m, s = float(x.mean()), float(x.std())
             if col not in self._ref_mean:
-                self._ref_mean[col], self._ref_std[col] = m, s
+                # A column with no spread yet (a choice-branch service
+                # that never ran) gets no drift reference: against a zero
+                # std any later mean reads as an unbounded shift.
+                if s > 0.0:
+                    self._ref_mean[col], self._ref_std[col] = m, s
             else:
                 a = self.ema
                 self._ref_mean[col] = (1 - a) * self._ref_mean[col] + a * m

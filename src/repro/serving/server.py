@@ -1,19 +1,40 @@
 """The guarded query front-end: :class:`ModelServer`.
 
 This is the one door through which autonomic components query a live
-model.  Every entry point:
+model.  Its three discrete query entry points — :meth:`~ModelServer.query`
+(one row), :meth:`~ModelServer.query_batch` (row mappings) and
+:meth:`~ModelServer.query_batch_columns` (evidence columns) — and the
+discrete branches of :meth:`~ModelServer.violation_prob` and
+:meth:`~ModelServer.project` are thin adapters over **one core**.  The
+core takes a same-signature batch held as evidence columns (raw means or
+bin states) plus an explicit row count, so a request with no evidence is
+just a batch with no columns, and it
 
-- **validates** evidence through :mod:`repro.serving.guards` (unknown
-  variables, NaN means, out-of-range bins → per-row rejection with
-  reasons, never a crash);
-- **bounds** latency with a per-query deadline — once overrun, the
-  fallback chain stops trying expensive tiers and the cached prior
-  answers;
-- **degrades** through the :class:`~repro.serving.fallback.FallbackChain`
-  on engine failure, recording which tier answered;
-- **sheds** load deterministically via per-tier circuit breakers and a
-  seeded :class:`~repro.serving.breaker.AdmissionController` once the
-  recent overload fraction crosses threshold.
+- **admits** row by row through the optional seeded
+  :class:`~repro.serving.breaker.AdmissionController` — a batch of N rows
+  sheds exactly like N single queries;
+- **validates** with vectorized guards (:func:`~repro.serving.guards.check_columns`:
+  unknown variables, NaN means, non-integral or out-of-range bins),
+  building reasons only for the rows it refuses — never a crash;
+- **answers** every clean row with one compiled batch-kernel call behind
+  the compiled tier's circuit breaker and the per-call deadline; when
+  that tier is tripped, overrun or failing, each row walks the rest of
+  the :class:`~repro.serving.fallback.FallbackChain` on its own, so the
+  compiled tier is tried once per row, never twice;
+- **accounts** once per call: one :class:`Tally` into
+  :meth:`ServerStats._count` and one admission outcome per admitted row.
+
+The accounting rule is row-equivalent: whatever entry point a row comes
+through, it counts as one query in :class:`ServerStats` and one outcome
+in the admission window, so a batch of N rows leaves stats and admission
+exactly as N ``query`` calls would.  (``n_rows_rejected`` additionally
+counts rows the evidence guards refused inside batch calls.)
+
+Every call reads one model snapshot — model, fallback chain, variable
+set and cardinalities, published together by :meth:`ModelServer.refresh`
+— and uses only it, so a refresh that lands mid-call never pairs one
+version's bins with another version's engine: the call answers wholly
+from the version it started with.
 
 The server can wrap a bare model or a
 :class:`~repro.serving.registry.ModelRegistry` — in the latter case
@@ -25,8 +46,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,13 +57,8 @@ from repro.bn.network import DiscreteBayesianNetwork, HybridResponseNetwork
 from repro.exceptions import ServingError
 from repro.obs.runtime import OBS as _OBS
 from repro.serving.breaker import AdmissionController, CircuitBreaker
-from repro.serving.fallback import (
-    CHAIN,
-    TIER_COMPILED,
-    TIER_PRIOR,
-    FallbackChain,
-)
-from repro.serving.guards import RowRejection, check_row, sanitize_rows
+from repro.serving.fallback import CHAIN, TIER_COMPILED, FallbackChain
+from repro.serving.guards import check_columns, check_row
 from repro.serving.registry import ModelRegistry
 from repro.utils.rng import ensure_rng
 
@@ -52,6 +69,13 @@ STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
 STATUS_SHED = "shed"
 STATUS_FAILED = "failed"
+
+_SHED_REASON = "admission control: server overloaded"
+#: Entry points whose guard refusals also count as ``n_rows_rejected``.
+_BATCH_CALLS = ("query_batch", "query_batch_columns")
+# Per-row outcome codes inside the core.
+_OK, _REJECTED, _SHED = 0, 1, 2
+_CODES = (STATUS_OK, STATUS_REJECTED, STATUS_SHED)
 
 
 @dataclass
@@ -76,11 +100,12 @@ class QueryResult:
 class ColumnarBatchResult:
     """Outcome of one :meth:`ModelServer.query_batch_columns` call.
 
-    The columnar fast path answers N same-signature rows with one
-    vectorized kernel call and O(1) Python objects, so the result is a
-    single batch-level record instead of N :class:`QueryResult`\\ s:
-    ``pmfs[j]`` answers the j-th *valid* row; ``valid`` is a boolean
-    mask over the input rows (``None`` means every row was valid).
+    One batch-level record instead of N :class:`QueryResult`\\ s:
+    ``pmfs[j]`` answers the j-th *valid* (answered) row; ``valid`` is a
+    boolean mask over the input rows (``None`` means every row was
+    answered).  ``status`` is ``ok`` when any row was answered, else the
+    first row's status; ``reasons`` lists the distinct reasons rows were
+    refused for, and ``counts`` the rows per status.
     """
 
     status: str
@@ -94,10 +119,63 @@ class ColumnarBatchResult:
     elapsed_seconds: float = 0.0
     deadline_exceeded: bool = False
     approximate: bool = False
+    counts: dict = field(default_factory=dict, init=False)
 
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
+
+
+@dataclass
+class Tally:
+    """One call's rows by outcome: the unit :meth:`ServerStats._count`
+    adds up."""
+
+    statuses: dict = field(default_factory=dict)   # status -> rows
+    tiers: dict = field(default_factory=dict)      # tier -> answered rows
+    n_deadline_exceeded: int = 0
+    n_rows_rejected: int = 0
+    n_degraded: int = 0      # answered rows some earlier tier failed
+    n_reasons: int = 0       # rejection reasons over rejected rows
+    elapsed_seconds: float = 0.0
+
+    @classmethod
+    def of(cls, result) -> "Tally":
+        """The tally of any entry point's result: a :class:`QueryResult`,
+        a list of them, or a :class:`ColumnarBatchResult`."""
+        if isinstance(result, ColumnarBatchResult):
+            # Synthesized results (fabric faults, tenant sheds) carry no
+            # counts: all their rows share the batch status.
+            statuses = result.counts or {result.status: result.n_rows}
+            n_ok = statuses.get(STATUS_OK, 0)
+            return cls(
+                statuses=statuses,
+                tiers={result.tier: n_ok} if n_ok and result.tier else {},
+                n_deadline_exceeded=result.n_rows * result.deadline_exceeded,
+                n_rows_rejected=statuses.get(STATUS_REJECTED, 0),
+                n_degraded=n_ok if result.tier_errors else 0,
+                elapsed_seconds=result.elapsed_seconds,
+            )
+        tally = cls()
+        for r in result if isinstance(result, list) else (result,):
+            tally.statuses[r.status] = tally.statuses.get(r.status, 0) + 1
+            if r.status == STATUS_OK and r.tier is not None:
+                tally.tiers[r.tier] = tally.tiers.get(r.tier, 0) + 1
+                tally.n_degraded += bool(r.tier_errors)
+            elif r.status == STATUS_REJECTED:
+                tally.n_reasons += len(r.reasons)
+            tally.n_deadline_exceeded += r.deadline_exceeded
+            tally.elapsed_seconds = max(tally.elapsed_seconds, r.elapsed_seconds)
+        return tally
+
+    @property
+    def n_rows(self) -> int:
+        return sum(self.statuses.values())
+
+    @property
+    def overloaded(self) -> bool:
+        """Did any row overrun its deadline or fail on every tier?"""
+        return bool(self.n_deadline_exceeded or self.statuses.get(STATUS_FAILED))
 
 
 @dataclass
@@ -116,75 +194,41 @@ class ServerStats:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def _count(self, result: QueryResult) -> None:
+    def _count(self, result) -> None:
+        """Add one call's rows — a :class:`Tally`, or any entry point's
+        result — and mirror them into the process metrics registry when
+        obs is on.  The only way the counters move."""
+        t = result if isinstance(result, Tally) else Tally.of(result)
+        get = t.statuses.get
         with self._lock:
-            self.n_queries += 1
-            if result.status == STATUS_OK:
-                self.n_ok += 1
-                if result.tier is not None:
-                    self.tier_counts[result.tier] = (
-                        self.tier_counts.get(result.tier, 0) + 1
-                    )
-            elif result.status == STATUS_REJECTED:
-                self.n_rejected += 1
-            elif result.status == STATUS_SHED:
-                self.n_shed += 1
-            else:
-                self.n_failed += 1
-            if result.deadline_exceeded:
-                self.n_deadline_exceeded += 1
-        if _OBS.enabled:
-            self._record_obs(result)
+            self.n_queries += t.n_rows
+            self.n_ok += get(STATUS_OK, 0)
+            self.n_rejected += get(STATUS_REJECTED, 0)
+            self.n_shed += get(STATUS_SHED, 0)
+            self.n_failed += get(STATUS_FAILED, 0)
+            self.n_deadline_exceeded += t.n_deadline_exceeded
+            self.n_rows_rejected += t.n_rows_rejected
+            for tier, k in t.tiers.items():
+                self.tier_counts[tier] = self.tier_counts.get(tier, 0) + k
+        if not _OBS.enabled:
+            return
+        m = _OBS.metrics
+        for name, k in (
+            ("serving.queries", t.n_rows),
+            ("serving.degraded_answers", t.n_degraded),
+            ("serving.deadline_misses", t.n_deadline_exceeded),
+            ("serving.rejection_reasons", t.n_reasons),
+            ("serving.rows_rejected", t.n_rows_rejected),
+            *((f"serving.status.{s}", k) for s, k in t.statuses.items()),
+            *((f"serving.tier.{tier}", k) for tier, k in t.tiers.items()),
+        ):
+            if k:
+                m.counter(name).inc(k)
+        if t.elapsed_seconds:
+            m.histogram("serving.query.seconds").observe(t.elapsed_seconds)
 
     def count_rows_rejected(self, n: int) -> None:
-        with self._lock:
-            self.n_rows_rejected += int(n)
-
-    def _count_columnar(self, result: ColumnarBatchResult) -> None:
-        """Bulk accounting for one columnar batch: each input row counts
-        exactly like one query through the row-wise path."""
-        n = result.n_rows
-        n_invalid = n - result.n_valid if result.status == STATUS_OK else 0
-        with self._lock:
-            self.n_queries += n
-            if result.status == STATUS_OK:
-                self.n_ok += result.n_valid
-                self.n_rejected += n_invalid
-                self.n_rows_rejected += n_invalid
-                if result.tier is not None and result.n_valid:
-                    self.tier_counts[result.tier] = (
-                        self.tier_counts.get(result.tier, 0) + result.n_valid
-                    )
-            elif result.status == STATUS_REJECTED:
-                self.n_rejected += n
-            elif result.status == STATUS_SHED:
-                self.n_shed += n
-            else:
-                self.n_failed += n
-            if result.deadline_exceeded:
-                self.n_deadline_exceeded += n
-        if _OBS.enabled:
-            m = _OBS.metrics
-            m.counter("serving.queries").inc(n)
-            if result.status == STATUS_OK:
-                m.counter(f"serving.status.{STATUS_OK}").inc(result.n_valid)
-                if n_invalid:
-                    m.counter(f"serving.status.{STATUS_REJECTED}").inc(
-                        n_invalid
-                    )
-                    m.counter("serving.rows_rejected").inc(n_invalid)
-                if result.tier is not None and result.n_valid:
-                    m.counter(f"serving.tier.{result.tier}").inc(
-                        result.n_valid
-                    )
-            else:
-                m.counter(f"serving.status.{result.status}").inc(n)
-            if result.deadline_exceeded:
-                m.counter("serving.deadline_misses").inc(n)
-            if result.elapsed_seconds:
-                m.histogram("serving.query.seconds").observe(
-                    result.elapsed_seconds
-                )
+        self._count(Tally(n_rows_rejected=int(n)))
 
     def as_dict(self) -> dict:
         """Consistent point-in-time snapshot of every counter."""
@@ -200,24 +244,86 @@ class ServerStats:
                 "tier_counts": dict(self.tier_counts),
             }
 
-    def _record_obs(self, result: QueryResult) -> None:
-        """Mirror one outcome into the process metrics registry — the
-        single choke point every ModelServer entry path flows through."""
-        m = _OBS.metrics
-        m.counter("serving.queries").inc()
-        m.counter(f"serving.status.{result.status}").inc()
-        if result.status == STATUS_OK and result.tier is not None:
-            m.counter(f"serving.tier.{result.tier}").inc()
-            if result.tier_errors:
-                m.counter("serving.degraded_answers").inc()
-        if result.deadline_exceeded:
-            m.counter("serving.deadline_misses").inc()
-        if result.status == STATUS_REJECTED:
-            m.counter("serving.rejection_reasons").inc(len(result.reasons))
-        if result.elapsed_seconds:
-            m.histogram("serving.query.seconds").observe(
-                result.elapsed_seconds
+
+class _Snapshot:
+    """Everything one call reads about the served model, published as a
+    unit by :meth:`ModelServer._set_model`."""
+
+    __slots__ = ("model", "version", "chain", "known", "cards", "assessor")
+
+    def __init__(self, model, version, chain):
+        self.model = model
+        self.version = version
+        self.chain = chain
+        self.known = frozenset(map(str, model.network.nodes))
+        self.cards = model.network.cardinalities if chain is not None else {}
+        self.assessor = None   # lazily built RapidAssessor (hybrid models)
+
+
+@dataclass
+class _Served:
+    """One core call's rows, before an entry point shapes them."""
+
+    code: np.ndarray             # per-row index into _CODES
+    reasons: dict                # refused row -> reasons
+    pmfs: "np.ndarray | None"    # answers of the good rows, in row order
+    answers: "list | None"       # their chain answers when degraded
+    elapsed: float
+
+    def statuses(self) -> dict:
+        if not self.reasons:
+            return {STATUS_OK: self.code.size} if self.code.size else {}
+        counts = np.bincount(self.code, minlength=len(_CODES))
+        return {s: int(k) for s, k in zip(_CODES, counts) if k}
+
+    def rows(self) -> "list[QueryResult]":
+        """One :class:`QueryResult` per row, in row order."""
+        t = self.elapsed
+        if self.answers is None:
+            answered = (
+                QueryResult(STATUS_OK, pmf, TIER_COMPILED, (), {}, t)
+                for pmf in (() if self.pmfs is None else self.pmfs)
             )
+        else:
+            answered = (
+                QueryResult(STATUS_OK, pmf, a.tier, (), a.tier_errors, t,
+                            a.deadline_exceeded, a.approximate)
+                for pmf, a in zip(self.pmfs, self.answers)
+            )
+        if not self.reasons:
+            return list(answered)
+        return [
+            next(answered) if code == _OK else QueryResult(
+                _CODES[code], reasons=self.reasons[i], elapsed_seconds=t
+            )
+            for i, code in enumerate(self.code.tolist())
+        ]
+
+    def columnar(self) -> ColumnarBatchResult:
+        n = self.code.size
+        n_valid = n - len(self.reasons)
+        answers = self.answers or ()
+        errors: dict = {}
+        for a in answers:
+            errors.update(a.tier_errors)
+        result = ColumnarBatchResult(
+            status=STATUS_OK if n_valid or not n else _CODES[self.code[0]],
+            n_rows=n,
+            pmfs=self.pmfs,
+            valid=None if n_valid == n else self.code == _OK,
+            n_valid=n_valid,
+            tier=(answers[0].tier if answers else TIER_COMPILED)
+            if n_valid else None,
+            reasons=tuple(dict.fromkeys(
+                r for rs in self.reasons.values() for r in rs
+            )),
+            tier_errors=errors,
+            elapsed_seconds=self.elapsed,
+            deadline_exceeded=any(a.deadline_exceeded for a in answers),
+            approximate=any(a.approximate for a in answers),
+        )
+        result.counts = self.statuses()
+        return result
 
 
 class ModelServer:
@@ -246,11 +352,7 @@ class ModelServer:
         }
         self.stats = ServerStats()
         self._registry: "ModelRegistry | None" = None
-        self._model = None
-        self._version: "int | None" = None
-        self._chain: "FallbackChain | None" = None
-        self._assessor = None
-        self._model_lock = threading.Lock()
+        self._snap: "_Snapshot | None" = None
         if isinstance(source, ModelRegistry):
             self._registry = source
             self.refresh()
@@ -263,16 +365,21 @@ class ModelServer:
 
     @property
     def model(self):
-        return self._model
+        return self._snap.model
 
     @property
     def version(self) -> "int | None":
         """Registry version currently served (None for a bare model)."""
-        return self._version
+        return self._snap.version if self._snap is not None else None
 
     @property
     def registry(self) -> "ModelRegistry | None":
         return self._registry
+
+    @property
+    def chain(self) -> "FallbackChain | None":
+        """The discrete fallback chain (None for continuous models)."""
+        return self._snap.chain
 
     def refresh(self) -> "int | None":
         """Follow the registry's active version (no-op for bare models,
@@ -282,16 +389,16 @@ class ModelServer:
         active = self._registry.active_version
         if active is None:
             raise ServingError("registry has no active version to serve")
-        if active != self._version:
+        if active != self.version:
             self._set_model(self._registry.load(active), version=active)
-        return self._version
+        return self.version
 
     def _set_model(self, model, version: "int | None") -> None:
         if model is None:
             raise ServingError("ModelServer needs a model to serve")
-        # Build the new chain before swapping, then publish model + chain
-        # under the lock so a concurrent query never observes a model
-        # paired with the previous model's chain.
+        # Build the whole snapshot first; publishing it is one reference
+        # assignment, so a call sees either the old snapshot or the new.
+        chain = None
         if isinstance(model.network, DiscreteBayesianNetwork):
             chain = FallbackChain(
                 model.network,
@@ -299,79 +406,162 @@ class ModelServer:
                 n_samples=self.n_fallback_samples,
                 breakers=self.breakers,
             )
-        else:
-            chain = None
-        with self._model_lock:
-            self._model = model
-            self._version = version
-            self._assessor = None
-            self._chain = chain
-
-    @property
-    def chain(self) -> "FallbackChain | None":
-        """The discrete fallback chain (None for continuous models)."""
-        return self._chain
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
+        self._snap = _Snapshot(model, version, chain)
 
     def _deadline(self) -> "float | None":
         if self.deadline_seconds is None:
             return None
         return time.monotonic() + self.deadline_seconds
 
-    def _known(self) -> frozenset:
-        return frozenset(map(str, self._model.network.nodes))
+    # ------------------------------------------------------------------ #
+    # The core
+    # ------------------------------------------------------------------ #
 
-    def _cards(self) -> dict:
-        return self._model.network.cardinalities
+    def _serve(
+        self,
+        snap: _Snapshot,
+        variables: Sequence[str],
+        columns: "Mapping[str, Sequence]",
+        n_rows: int,
+        binned: bool,
+        what: str,
+        refuse: tuple = (),
+    ) -> _Served:
+        """Answer ``n_rows`` same-signature rows held as evidence columns.
 
-    def _finish(self, result: QueryResult, started: float) -> QueryResult:
-        result.elapsed_seconds = time.monotonic() - started
-        self.stats._count(result)
-        if self.admission is not None and result.status != STATUS_SHED:
-            self.admission.record(
-                result.deadline_exceeded or result.status == STATUS_FAILED
-            )
-        return result
-
-    def _admit(self, started: float) -> "QueryResult | None":
-        if self.admission is not None and not self.admission.admit():
-            return self._finish(
-                QueryResult(
-                    status=STATUS_SHED,
-                    reasons=("admission control: server overloaded",),
-                ),
-                started,
-            )
-        return None
-
-    def _to_states(self, row: Mapping, binned: bool) -> dict:
-        """Clean raw-mean or binned row → bin-state evidence."""
-        if binned:
-            return {str(k): int(v) for k, v in row.items()}
-        disc = self._model.discretizer
-        return {
-            str(k): disc.state_of(str(k), float(v)) for k, v in row.items()
-        }
-
-    def _reject(self, reasons, started) -> QueryResult:
-        return self._finish(
-            QueryResult(status=STATUS_REJECTED, reasons=tuple(reasons)), started
-        )
-
-    def _discrete_only(self, what: str, binned: bool) -> "tuple[str, ...]":
-        if self._chain is None:
-            return (
+        ``refuse`` holds reasons the entry point refuses every row for;
+        ``what`` names the entry point in reasons and decides whether
+        guard refusals count as ``n_rows_rejected`` (batch calls only).
+        """
+        started = time.monotonic()
+        code = np.zeros(n_rows, dtype=np.int8)
+        reasons: dict = {}
+        if self.admission is not None:
+            admit = self.admission.admit
+            for i in range(n_rows):
+                if not admit():
+                    code[i] = _SHED
+                    reasons[i] = (_SHED_REASON,)
+        variables = tuple(map(str, variables))
+        columns = {str(v): c for v, c in columns.items()}
+        model, chain = snap.model, snap.chain
+        disc = model.discretizer
+        guard_refused = 0
+        if chain is None:
+            refuse = (
                 f"{what} requires a discrete model; the active model is "
-                f"{self._model.report.model_kind!r}",
+                f"{model.report.model_kind!r}",
             )
-        if not binned and not binnable(self._model):
-            return (
-                f"{what} requires the model's discretizer for raw evidence",
+        elif not binned and disc is None:
+            refuse = (f"{what} requires the model's discretizer for raw evidence",)
+        else:
+            sig = tuple(
+                f"unknown variable {v!r}" if v not in snap.known
+                else f"variable {v!r} may not appear in evidence"
+                for v in columns
+                if v not in snap.known or v in variables
             )
-        return ()
+            refuse = sig + refuse + tuple(
+                f"unknown query variable {v!r}"
+                for v in variables if v not in snap.known
+            )
+            if not variables:
+                refuse += ("need at least one query variable",)
+            if sig:
+                guard_refused = n_rows - len(reasons)
+        if refuse:
+            for i in np.flatnonzero(code == _OK).tolist():
+                code[i] = _REJECTED
+                reasons[i] = refuse
+        else:
+            clean, bad = check_columns(
+                columns, n_rows, cards=snap.cards, binned=binned
+            )
+            if reasons:
+                bad &= code == _OK
+            if bad.any():
+                n_shed = len(reasons)
+                for i in np.flatnonzero(bad).tolist():
+                    code[i] = _REJECTED
+                    reasons[i] = check_row(
+                        {v: c[i] for v, c in columns.items()},
+                        known=snap.known, cards=snap.cards, binned=binned,
+                        require_nonempty=False,
+                    )
+                guard_refused = len(reasons) - n_shed
+        # Every refused row has reasons: the rest are answered.
+        n_good = n_rows - len(reasons)
+        pmfs = answers = None
+        if n_good:
+            idx = None if n_good == n_rows else np.flatnonzero(code == _OK)
+            states = {}
+            for v, col in clean.items():
+                col = col if idx is None else col[idx]
+                states[v] = col if binned else disc._bin(col, disc.edges(v))
+            pmfs, answers = self._answer(chain, variables, states, n_good)
+        served = _Served(code, reasons, pmfs, answers, time.monotonic() - started)
+        self._account(served, guard_refused if what in _BATCH_CALLS else 0)
+        return served
+
+    def _answer(self, chain: FallbackChain, variables, states, n: int):
+        """The compiled tier as one batch-kernel call, behind its breaker
+        and the deadline; when it cannot answer, each row walks the rest
+        of the chain."""
+        deadline = self._deadline()
+        breaker = self.breakers[TIER_COMPILED]
+        if deadline is not None and time.monotonic() > deadline:
+            error = "deadline exceeded"
+        elif not breaker.allow():
+            error = "circuit open"
+        else:
+            try:
+                pmfs = chain.engine.query_batch(variables, states or [{}] * n)
+            except Exception as exc:
+                breaker.record_failure()
+                error = f"{type(exc).__name__}: {exc}"
+            else:
+                breaker.record_success()
+                return pmfs, None
+        tried = {TIER_COMPILED: error}
+        answers = [
+            chain.answer(
+                variables, {v: c[j] for v, c in states.items()},
+                deadline=deadline, tried=tried,
+            )
+            for j in range(n)
+        ]
+        return np.stack([a.values for a in answers]), answers
+
+    def _account(self, served: _Served, n_rows_rejected: int) -> None:
+        """One tally into the stats, one admission outcome per admitted
+        row (overloaded = its answer overran the deadline)."""
+        answers = served.answers or []
+        statuses = served.statuses()
+        n_good = statuses.get(STATUS_OK, 0)
+        self.stats._count(Tally(
+            statuses=statuses,
+            tiers=Counter(a.tier for a in answers) if answers
+            else {TIER_COMPILED: n_good} if n_good else {},
+            n_deadline_exceeded=sum(a.deadline_exceeded for a in answers),
+            n_rows_rejected=n_rows_rejected,
+            n_degraded=len(answers),
+            n_reasons=sum(
+                len(r) for i, r in served.reasons.items()
+                if served.code[i] == _REJECTED
+            ),
+            elapsed_seconds=served.elapsed,
+        ))
+        if self.admission is not None:
+            over = (a.deadline_exceeded for a in answers)
+            for code in served.code.tolist():
+                if code != _SHED:
+                    self.admission.record(code == _OK and next(over, False))
+
+    def _one(self, snap, variables, evidence, binned, what, refuse=()):
+        evidence = {str(k): [v] for k, v in dict(evidence or {}).items()}
+        return self._serve(
+            snap, variables, evidence, 1, binned, what, refuse
+        ).rows()[0]
 
     # ------------------------------------------------------------------ #
     # Query surface
@@ -390,48 +580,7 @@ class ModelServer:
         ``binned=True``.  Malformed evidence → ``status="rejected"`` with
         reasons; engine faults walk the fallback chain.
         """
-        started = time.monotonic()
-        shed = self._admit(started)
-        if shed is not None:
-            return shed
-        unsupported = self._discrete_only("query", binned)
-        if unsupported:
-            return self._reject(unsupported, started)
-        reasons = check_row(
-            dict(evidence or {}),
-            known=self._known(),
-            cards=self._cards(),
-            forbid=set(map(str, variables)),
-            binned=binned,
-            require_nonempty=False,
-        )
-        bad_vars = [
-            str(v) for v in variables if str(v) not in self._known()
-        ]
-        if bad_vars:
-            reasons = reasons + tuple(
-                f"unknown query variable {v!r}" for v in bad_vars
-            )
-        if not variables:
-            reasons = reasons + ("need at least one query variable",)
-        if reasons:
-            return self._reject(reasons, started)
-        deadline = self._deadline()
-        states = self._to_states(dict(evidence or {}), binned)
-        answer = self._chain.answer(variables, states, deadline=deadline)
-        return self._finish(
-            QueryResult(
-                status=STATUS_OK,
-                value=answer.values,
-                tier=answer.tier,
-                tier_errors=answer.tier_errors,
-                deadline_exceeded=any(
-                    "deadline" in e for e in answer.tier_errors.values()
-                ),
-                approximate=answer.approximate,
-            ),
-            started,
-        )
+        return self._one(self._snap, variables, evidence, binned, "query")
 
     def canary(self) -> QueryResult:
         """A minimal end-to-end probe query (health-prober path).
@@ -444,8 +593,9 @@ class ModelServer:
         (``ok`` with no tier errors) is the readmission signal for a
         blacked-out replica.
         """
-        if self._chain is not None:
-            return self.query([self._model.response], {}, binned=True)
+        snap = self._snap
+        if snap.chain is not None:
+            return self._one(snap, [snap.model.response], {}, True, "query")
         return self.violation_prob(0.0)
 
     def query_batch(
@@ -456,86 +606,33 @@ class ModelServer:
     ) -> "list[QueryResult]":
         """Guarded batch query: one :class:`QueryResult` per input row.
 
-        Bad rows are rejected individually (with reasons) while clean
-        rows are answered; clean rows sharing an evidence signature go
-        through the engine's vectorized batch kernel when it is healthy,
-        and degrade row-by-row through the chain when it is not.
-
-        Accounting is row-equivalent to the single-query path: every
-        row is finished through :meth:`_finish`, so each gets its own
-        (distinct) result object with ``elapsed_seconds`` set, each is
-        tallied once in :class:`ServerStats`, and each feeds one
-        :meth:`AdmissionController.record` outcome — a batch of N rows
-        updates stats and admission exactly like N ``query`` calls.
+        Rows are grouped by evidence signature and each group is one
+        core call, so every row is admitted, guarded, answered and
+        counted exactly as a lone :meth:`query` of it would be; bad rows
+        are refused individually (with reasons) while clean rows answer.
         """
-        started = time.monotonic()
+        snap = self._snap
         rows = list(rows)
-        results: "list[QueryResult | None]" = [None] * len(rows)
-        # Per-row admission, mirroring the single-query path: each shed
-        # row is a *distinct* result counted once (never N aliases of
-        # one mutable QueryResult counted once total).
-        if self.admission is not None:
-            admitted = []
-            for i in range(len(rows)):
-                if self.admission.admit():
-                    admitted.append(i)
-                else:
-                    results[i] = self._finish(
-                        QueryResult(
-                            status=STATUS_SHED,
-                            reasons=(
-                                "admission control: server overloaded",
-                            ),
-                        ),
-                        started,
-                    )
-        else:
-            admitted = list(range(len(rows)))
-        if not admitted:
-            return [r for r in results if r is not None]
-        unsupported = self._discrete_only("query_batch", binned)
-        if unsupported:
-            for i in admitted:
-                results[i] = self._reject(unsupported, started)
-            return [r for r in results if r is not None]
-        sanitized = sanitize_rows(
-            [rows[i] for i in admitted],
-            known=self._known(),
-            cards=self._cards(),
-            forbid=set(map(str, variables)),
-            binned=binned,
-        )
-        self.stats.count_rows_rejected(sanitized.n_rejected)
-        if _OBS.enabled and sanitized.n_rejected:
-            _OBS.metrics.counter("serving.rows_rejected").inc(
-                sanitized.n_rejected
-            )
-        # Per-row rejections go through the same finishing path as the
-        # single-query `_reject`: elapsed_seconds is stamped, the row is
-        # tallied, and the admission controller sees the outcome.
-        for rejection in sanitized.rejections:
-            results[admitted[rejection.index]] = self._reject(
-                rejection.reasons, started
-            )
-        deadline = self._deadline()
-        # Group accepted rows by evidence signature — that *is* the
-        # compiled batch signature.
-        groups: dict[tuple, list[int]] = {}
-        for j, row in enumerate(sanitized.rows):
-            groups.setdefault(tuple(sorted(row)), []).append(j)
-        for signature, members in groups.items():
-            state_rows = [
-                self._to_states(sanitized.rows[j], binned) for j in members
-            ]
-            answers = self._batch_group(variables, state_rows, deadline)
-            for j, answer in zip(members, answers):
-                results[admitted[sanitized.kept_indices[j]]] = self._finish(
-                    answer, started
+        groups: dict = {}
+        for i, row in enumerate(rows):
+            mapping = type(row) is dict or isinstance(row, Mapping)
+            groups.setdefault(tuple(row) if mapping else type(row), []).append(i)
+        out: list = [None] * len(rows)
+        for key, members in groups.items():
+            if isinstance(key, tuple):
+                columns = {k: [rows[i][k] for i in members] for k in key}
+                refuse = ()
+            else:
+                columns = {}
+                refuse = (
+                    f"evidence row must be a mapping, got {key.__name__}",
                 )
-        out = []
-        for r in results:
-            assert r is not None
-            out.append(r)
+            served = self._serve(
+                snap, variables, columns, len(members), binned,
+                "query_batch", refuse,
+            )
+            for i, result in zip(members, served.rows()):
+                out[i] = result
         return out
 
     def query_batch_columns(
@@ -543,222 +640,25 @@ class ModelServer:
         variables: Sequence[str],
         columns: "Mapping[str, Sequence[int]]",
     ) -> ColumnarBatchResult:
-        """Columnar fast path: N binned same-signature rows, O(1) objects.
+        """Columnar lane: N binned same-signature rows, O(1) objects.
 
-        ``columns`` maps variable → integer bin-state column (all the
-        same length).  Validation is vectorized (per-column bounds
-        checks instead of per-row dict sweeps) and the answer is one
-        :class:`ColumnarBatchResult` instead of N ``QueryResult``\\ s,
-        so the guarded overhead stays within a small constant factor of
-        the raw engine kernel — this is the path the serving fabric's
-        bulk lane and the load harness drive.
-
-        Rows with out-of-range states are rejected via the ``valid``
-        mask while the clean rows still answer.  Engine faults degrade
-        through the row-wise chain exactly like :meth:`query_batch`.
-        Accounting is bulk but row-equivalent: each input row counts as
-        one query in :class:`ServerStats`; admission is one decision
-        and one recorded outcome per *call* (documented deviation — the
-        whole batch is admitted or shed as a unit).
+        ``columns`` maps variable → bin-state column (all the same
+        length).  The rows go through the same core as every other
+        entry point — per-row admission, vectorized guards, one kernel
+        call — and come back as one :class:`ColumnarBatchResult`; rows
+        refused by admission or the guards are masked out of ``valid``
+        while the others still answer.
         """
-        started = time.monotonic()
-        n_rows = 0
-        cols: dict[str, np.ndarray] = {}
-        bad_cols: list[str] = []
-        cards = self._cards()
-        for v, col in columns.items():
-            v = str(v)
-            arr = np.asarray(col)
-            if arr.dtype.kind not in "iu":
-                bad_cols.append(f"column {v!r} is not integer-typed")
-                continue
-            arr = arr.reshape(-1)
-            cols[v] = arr
-            n_rows = max(n_rows, arr.size)
-        if self.admission is not None and not self.admission.admit():
-            result = ColumnarBatchResult(
-                status=STATUS_SHED,
-                n_rows=n_rows,
-                reasons=("admission control: server overloaded",),
-                elapsed_seconds=time.monotonic() - started,
-            )
-            self.stats._count_columnar(result)
-            return result
-
-        def _rejected(reasons: tuple) -> ColumnarBatchResult:
-            result = ColumnarBatchResult(
-                status=STATUS_REJECTED,
-                n_rows=n_rows,
-                reasons=reasons,
-                elapsed_seconds=time.monotonic() - started,
-            )
-            self.stats._count_columnar(result)
-            if self.admission is not None:
-                self.admission.record(False)
-            return result
-
-        unsupported = self._discrete_only("query_batch", binned=True)
-        if unsupported:
-            return _rejected(unsupported)
-        reasons = list(bad_cols)
-        variables = tuple(map(str, variables))
-        known = self._known()
-        for v in variables:
-            if v not in known:
-                reasons.append(f"unknown query variable {v!r}")
-            elif v in cols:
-                reasons.append(f"variable {v!r} may not appear in evidence")
-        for v in cols:
-            if v not in known:
-                reasons.append(f"unknown variable {v!r}")
-        if not variables:
-            reasons.append("need at least one query variable")
-        if not cols and not reasons:
-            reasons.append("empty evidence columns")
-        if any(c.size != n_rows for c in cols.values()):
-            reasons.append(
-                "evidence columns have mismatched lengths "
-                f"{ {v: c.size for v, c in cols.items()} }"
-            )
-        if reasons:
-            return _rejected(tuple(reasons))
-        # Vectorized per-row domain check — the columnar analogue of
-        # check_row's bin-range validation.
-        valid = np.ones(n_rows, dtype=bool)
-        for v, col in cols.items():
-            valid &= (col >= 0) & (col < cards[v])
-        n_valid = int(np.count_nonzero(valid))
-        if n_valid == 0:
-            return _rejected(("every row has out-of-range bin states",))
-        if n_valid < n_rows:
-            run_cols = {v: np.ascontiguousarray(c[valid]) for v, c in cols.items()}
-        else:
-            run_cols = cols
-        deadline = self._deadline()
-        breaker = self.breakers[TIER_COMPILED]
-        result: "ColumnarBatchResult | None" = None
-        if (
-            deadline is None or time.monotonic() <= deadline
-        ) and breaker.allow():
-            try:
-                pmfs = self._chain.engine.query_batch(variables, run_cols)
-            except Exception as exc:
-                breaker.record_failure()
-                tier_errors = {TIER_COMPILED: f"{type(exc).__name__}: {exc}"}
-            else:
-                breaker.record_success()
-                result = ColumnarBatchResult(
-                    status=STATUS_OK,
-                    n_rows=n_rows,
-                    pmfs=pmfs,
-                    valid=None if n_valid == n_rows else valid,
-                    n_valid=n_valid,
-                    tier=TIER_COMPILED,
-                )
-        else:
-            tier_errors = {TIER_COMPILED: "circuit open"}
-        if result is None:
-            # Degraded: replay the valid rows through the row-wise chain
-            # (same fallback semantics as query_batch's slow path).
-            state_rows = [
-                {v: int(run_cols[v][j]) for v in run_cols}
-                for j in range(n_valid)
-            ]
-            answers = self._batch_group(variables, state_rows, deadline)
-            if all(a.status == STATUS_OK for a in answers):
-                result = ColumnarBatchResult(
-                    status=STATUS_OK,
-                    n_rows=n_rows,
-                    pmfs=np.stack([np.asarray(a.value) for a in answers]),
-                    valid=None if n_valid == n_rows else valid,
-                    n_valid=n_valid,
-                    tier=answers[0].tier if answers else None,
-                    tier_errors=dict(tier_errors),
-                    deadline_exceeded=any(
-                        a.deadline_exceeded for a in answers
-                    ),
-                    approximate=any(a.approximate for a in answers),
-                )
-            else:
-                errors = dict(tier_errors)
-                for a in answers:
-                    errors.update(a.tier_errors)
-                result = ColumnarBatchResult(
-                    status=STATUS_FAILED,
-                    n_rows=n_rows,
-                    tier_errors=errors,
-                )
-        result.elapsed_seconds = time.monotonic() - started
-        self.stats._count_columnar(result)
-        if self.admission is not None:
-            self.admission.record(
-                result.deadline_exceeded or result.status == STATUS_FAILED
-            )
-        return result
-
-    def _batch_group(
-        self, variables, state_rows, deadline
-    ) -> "list[QueryResult]":
-        """Answer one same-signature group, vectorized when possible."""
-        breaker = self.breakers[TIER_COMPILED]
-        engine = self._chain.engine
-        if (
-            (deadline is None or time.monotonic() <= deadline)
-            and state_rows[0]  # engine batch kernel needs evidence
-            and breaker.allow()
-        ):
-            try:
-                # Same-signature group → hand the engine columnar intp
-                # arrays, skipping its per-row dict fallback entirely.
-                columns = {
-                    v: np.fromiter(
-                        (row[v] for row in state_rows),
-                        dtype=np.intp,
-                        count=len(state_rows),
-                    )
-                    for v in state_rows[0]
-                }
-                pmfs = engine.query_batch(variables, columns)
-            except Exception:
-                breaker.record_failure()
-            else:
-                breaker.record_success()
-                return [
-                    QueryResult(
-                        status=STATUS_OK, value=pmf, tier=TIER_COMPILED
-                    )
-                    for pmf in pmfs
-                ]
-        # Degraded: row-by-row through the chain (zero-probability rows
-        # and engine faults then resolve per row instead of poisoning
-        # the whole batch).
-        out = []
-        for states in state_rows:
-            try:
-                answer = self._chain.answer(
-                    variables, states, deadline=deadline
-                )
-            except Exception as exc:  # pragma: no cover - chain is terminal
-                out.append(
-                    QueryResult(
-                        status=STATUS_FAILED,
-                        tier_errors={"chain": f"{type(exc).__name__}: {exc}"},
-                    )
-                )
-                continue
-            out.append(
-                QueryResult(
-                    status=STATUS_OK,
-                    value=answer.values,
-                    tier=answer.tier,
-                    tier_errors=answer.tier_errors,
-                    deadline_exceeded=any(
-                        "deadline" in e for e in answer.tier_errors.values()
-                    ),
-                    approximate=answer.approximate,
-                )
-            )
-        return out
+        columns = {v: np.asarray(c).reshape(-1) for v, c in columns.items()}
+        sizes = {str(v): c.size for v, c in columns.items()}
+        n_rows = max(sizes.values(), default=0)
+        refuse = ()
+        if len(set(sizes.values())) > 1:
+            refuse = (f"evidence columns have mismatched lengths {sizes}",)
+        return self._serve(
+            self._snap, variables, columns, n_rows, True,
+            "query_batch_columns", refuse,
+        ).columnar()
 
     # ------------------------------------------------------------------ #
     # Assessment surface (all model families)
@@ -772,163 +672,111 @@ class ModelServer:
         """Guarded ``P(D > threshold)``, optionally under predicted
         service means (the pAccel projection).
 
-        Discrete models answer through the fallback chain (response-node
-        pmf tail); continuous models through the analytic assessor,
-        breaker-guarded.
+        Discrete models take the response pmf from the core (tail of
+        the answered pmf); continuous models answer through the
+        analytic assessor, breaker-guarded.
         """
-        started = time.monotonic()
-        shed = self._admit(started)
-        if shed is not None:
-            return shed
-        if not np.isfinite(threshold):
-            return self._reject(
-                (f"threshold {threshold!r} is not finite",), started
-            )
-        response = self._model.response
+        snap = self._snap
         means = dict(predicted_means or {})
-        reasons = check_row(
-            means,
-            known=self._known(),
-            forbid={response},
-            binned=False,
-            require_nonempty=False,
-        )
-        if reasons:
-            return self._reject(reasons, started)
-        if self._chain is not None:
-            disc = self._model.discretizer
-            if disc is None:
-                return self._reject(
-                    ("discrete model has no discretizer",), started
-                )
-            states = self._to_states(means, binned=False)
-            answer = self._chain.answer(
-                [response], states, deadline=self._deadline()
+        refuse = ()
+        if not np.isfinite(threshold):
+            refuse = (f"threshold {threshold!r} is not finite",)
+        if snap.chain is None:
+            return self._analytic(
+                snap, means, refuse,
+                lambda: self._violation_analytic(snap, float(threshold), means),
             )
-            prob = tail_probability_from_pmf(
-                answer.values, disc.edges(response), float(threshold)
+        response = snap.model.response
+        result = self._one(snap, [response], means, False, "violation_prob", refuse)
+        if result.ok:
+            result.value = tail_probability_from_pmf(
+                result.value, snap.model.discretizer.edges(response),
+                float(threshold),
             )
-            return self._finish(
-                QueryResult(
-                    status=STATUS_OK,
-                    value=prob,
-                    tier=answer.tier,
-                    tier_errors=answer.tier_errors,
-                    deadline_exceeded=any(
-                        "deadline" in e for e in answer.tier_errors.values()
-                    ),
-                    approximate=answer.approximate,
-                ),
-                started,
-            )
-        return self._analytic(
-            lambda: self._violation_analytic(float(threshold), means), started
-        )
+        return result
 
     def project(self, predicted_means: Mapping) -> QueryResult:
         """Guarded pAccel projection (``value`` is a ``PAccelResult``)."""
-        started = time.monotonic()
-        shed = self._admit(started)
-        if shed is not None:
-            return shed
+        from repro.apps.paccel import PAccel, PAccelResult
+
+        snap = self._snap
         means = dict(predicted_means or {})
-        reasons = check_row(
-            means,
-            known=self._known(),
-            forbid={self._model.response},
-            binned=False,
-        )
-        if reasons:
-            return self._reject(reasons, started)
-        from repro.apps.paccel import PAccel
-
-        if self._chain is not None:
-            # Route the discrete projection's posterior through the chain
-            # so engine faults degrade instead of raising.
-            disc = self._model.discretizer
-            response = self._model.response
-            states = self._to_states(means, binned=False)
-            answer = self._chain.answer(
-                [response], states, deadline=self._deadline()
+        refuse = () if means else ("empty evidence row",)
+        if snap.chain is None:
+            return self._analytic(
+                snap, means, refuse,
+                lambda: PAccel(snap.model).project(means, rng=self.rng),
             )
-            from repro.apps.paccel import PAccelResult
-
+        response = snap.model.response
+        result = self._one(snap, [response], means, False, "project", refuse)
+        if result.ok:
+            disc = snap.model.discretizer
+            pmf = result.value
             centers = disc.centers(response)
-            mean = float(np.dot(answer.values, centers))
-            std = float(
-                np.sqrt(max(np.dot(answer.values, (centers - mean) ** 2), 0.0))
+            mean = float(np.dot(pmf, centers))
+            std = float(np.sqrt(max(np.dot(pmf, (centers - mean) ** 2), 0.0)))
+            result.value = PAccelResult(
+                evidence=means, edges=disc.edges(response), pmf=pmf,
+                mean=mean, std=std,
             )
-            result = PAccelResult(
-                evidence=means,
-                edges=disc.edges(response),
-                pmf=answer.values,
-                mean=mean,
-                std=std,
-            )
-            return self._finish(
-                QueryResult(
-                    status=STATUS_OK,
-                    value=result,
-                    tier=answer.tier,
-                    tier_errors=answer.tier_errors,
-                    approximate=answer.approximate,
-                ),
-                started,
-            )
-        return self._analytic(
-            lambda: PAccel(self._model).project(means, rng=self.rng), started
-        )
+        return result
 
     # ------------------------------------------------------------------ #
 
-    def _violation_analytic(self, threshold: float, means: dict) -> float:
-        if isinstance(self._model.network, HybridResponseNetwork):
-            if self._assessor is None:
+    def _violation_analytic(self, snap, threshold: float, means: dict) -> float:
+        model = snap.model
+        if isinstance(model.network, HybridResponseNetwork):
+            if snap.assessor is None:
                 from repro.apps.assessment import RapidAssessor
 
-                self._assessor = RapidAssessor(self._model)
+                snap.assessor = RapidAssessor(model)
             return float(
-                self._assessor.violation_probability(threshold, means or None)
+                snap.assessor.violation_probability(threshold, means or None)
             )
         from repro.apps.paccel import PAccel
 
-        pa = PAccel(self._model)
+        pa = PAccel(model)
         result = pa.project(means, rng=self.rng) if means else pa.baseline(
             rng=self.rng
         )
         return float(result.violation_probability(threshold))
 
-    def _analytic(self, compute, started: float) -> QueryResult:
-        """Breaker-guarded single-backend (continuous) evaluation."""
-        breaker = self.breakers[TIER_ANALYTIC]
-        if not breaker.allow():
-            return self._finish(
-                QueryResult(
-                    status=STATUS_FAILED,
-                    tier_errors={TIER_ANALYTIC: "circuit open"},
-                ),
-                started,
-            )
-        try:
-            value = compute()
-        except Exception as exc:
-            breaker.record_failure()
-            return self._finish(
-                QueryResult(
-                    status=STATUS_FAILED,
-                    tier_errors={
-                        TIER_ANALYTIC: f"{type(exc).__name__}: {exc}"
-                    },
-                ),
-                started,
-            )
-        breaker.record_success()
-        return self._finish(
-            QueryResult(status=STATUS_OK, value=value, tier=TIER_ANALYTIC),
-            started,
+    def _analytic(self, snap, means: dict, refuse: tuple, compute) -> QueryResult:
+        """Admission, guards and the breaker-guarded analytic backend
+        for continuous models (one row, accounted like the core's)."""
+        started = time.monotonic()
+        if self.admission is not None and not self.admission.admit():
+            result = QueryResult(status=STATUS_SHED, reasons=(_SHED_REASON,))
+            result.elapsed_seconds = time.monotonic() - started
+            self.stats._count(result)
+            return result
+        reasons = refuse or check_row(
+            means, known=snap.known, forbid={snap.model.response},
+            require_nonempty=False,
         )
-
-
-def binnable(model) -> bool:
-    """Can raw-mean evidence be discretized for this model?"""
-    return model.discretizer is not None
+        breaker = self.breakers[TIER_ANALYTIC]
+        if reasons:
+            result = QueryResult(status=STATUS_REJECTED, reasons=tuple(reasons))
+        elif not breaker.allow():
+            result = QueryResult(
+                status=STATUS_FAILED, tier_errors={TIER_ANALYTIC: "circuit open"}
+            )
+        else:
+            try:
+                value = compute()
+            except Exception as exc:
+                breaker.record_failure()
+                result = QueryResult(
+                    status=STATUS_FAILED,
+                    tier_errors={TIER_ANALYTIC: f"{type(exc).__name__}: {exc}"},
+                )
+            else:
+                breaker.record_success()
+                result = QueryResult(
+                    status=STATUS_OK, value=value, tier=TIER_ANALYTIC
+                )
+        result.elapsed_seconds = time.monotonic() - started
+        self.stats._count(result)
+        if self.admission is not None:
+            self.admission.record(result.status == STATUS_FAILED)
+        return result

@@ -2,8 +2,8 @@
 
 These are the regression tests for the three serving-path bugs this PR
 fixes: shed batches aliasing one mutable result (and being undercounted),
-batch rejections bypassing ``_finish``, and unlocked shared state in the
-breaker / admission controller / stats / engine plan cache.
+batch rejections bypassing the per-row accounting, and unlocked shared
+state in the breaker / admission controller / stats / engine plan cache.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +37,7 @@ def _mean(data, name):
 
 
 # --------------------------------------------------------------------- #
-# Bugfix regressions: shed aliasing + rejections through _finish
+# Bugfix regressions: shed aliasing + rejections through the accounting
 # --------------------------------------------------------------------- #
 
 
@@ -80,9 +80,9 @@ def test_batch_rejections_carry_elapsed_and_feed_admission(
     assert results[0].ok
     for r in results[1:]:
         assert r.status == STATUS_REJECTED
-        # Through _finish: timed like every other query.
+        # Accounted like every other row: timed ...
         assert r.elapsed_seconds > 0.0
-    # Through _finish: every row (ok and rejected) fed the admission
+    # ... and every row (ok and rejected) fed the admission
     # window — 3 rows in, 3 outcomes recorded.
     assert len(ac._outcomes) == 3
 
@@ -290,3 +290,60 @@ def test_threaded_server_queries_match_single_thread(
     with ThreadPoolExecutor(6) as ex:
         list(ex.map(worker, range(6)))
     assert srv.stats.n_ok == 6 * 60 == srv.stats.n_queries
+
+
+def test_queries_racing_refreshes_answer_from_one_version(
+    tmp_path, fresh_discrete_model, ediamond_env, ediamond_data
+):
+    """Threads query while another flips the registry between a 4-bin
+    and a 3-bin version and refreshes: every answer is exactly one
+    version's, never one version's bins through the other's engine."""
+    import sys
+    import threading
+
+    from repro.core.kertbn import build_discrete_kertbn
+    from repro.serving.registry import ModelRegistry
+
+    train, _ = ediamond_data
+    reg = ModelRegistry(str(tmp_path / "reg"))
+    reg.publish(fresh_discrete_model)
+    reg.publish(build_discrete_kertbn(ediamond_env.workflow, train, n_bins=3))
+    srv = ModelServer(reg, rng=0)
+    response, svc = srv.model.response, _svc(srv.model)
+    evs = [{svc: f * float(np.max(train[svc]))} for f in (0.2, 0.6, 10.0)]
+    expected = [
+        [ModelServer(reg.load(v), rng=0).query([response], ev).value for ev in evs]
+        for v in (1, 2)
+    ]
+    stop = threading.Event()
+
+    def flipper():
+        v = 1
+        while not stop.is_set():
+            reg.activate(v)
+            srv.refresh()
+            v = 3 - v
+
+    def worker(w):
+        for j in range(150):
+            i = (w + j) % len(evs)
+            r = srv.query([response], evs[i])
+            assert r.ok and r.tier == "compiled-einsum", r
+            assert any(
+                e[i].shape == r.value.shape and np.array_equal(e[i], r.value)
+                for e in expected
+            )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    flip = threading.Thread(target=flipper, daemon=True)
+    try:
+        flip.start()
+        with ThreadPoolExecutor(4) as ex:
+            list(ex.map(worker, range(4)))
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        flip.join(timeout=30)
+    assert not flip.is_alive()
+    assert srv.stats.n_ok == 4 * 150

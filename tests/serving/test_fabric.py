@@ -180,6 +180,38 @@ def test_tenant_breaker_trips_on_sustained_overload(fresh_models):
     assert state.stats.n_shed == 4
 
 
+def test_shed_calls_count_exactly_the_rows_sent(fresh_models):
+    """A shed call adds its own rows to the tenant rollup — none for an
+    empty call — on every entry point and either shedding budget."""
+    model = fresh_models[0]
+    svc = _svc(model)
+    router = ShardRouter(
+        [ModelServer(model, rng=0)], breaker_threshold=1, breaker_cooldown=100
+    )
+    router.tenant_state("broken").breaker.record_failure()
+    hot = AdmissionController(
+        window=5, overload_threshold=0.5, shed_fraction=1.0,
+        rng=np.random.default_rng(0),
+    )
+    router.add_tenant("hot", admission=hot)
+    for _ in range(5):
+        hot.record(True)
+    for tenant in ("broken", "hot"):
+        state = router.tenant_state(tenant)
+        sent = 0
+        for n in (0, 3):
+            rows = router.query_batch(
+                tenant, [model.response], [{svc: 0}] * n, binned=True
+            )
+            assert [r.status for r in rows] == [STATUS_SHED] * n
+            cols = {svc: np.zeros(n, dtype=np.intp)}
+            cr = router.query_batch_columns(tenant, [model.response], cols)
+            assert cr.status == STATUS_SHED and cr.n_rows == n
+            sent += 2 * n
+            assert state.stats.n_queries == state.stats.n_shed == sent
+    assert router.shards[0].stats.n_queries == 0
+
+
 # --------------------------------------------------------------------- #
 # Dynamic batching
 # --------------------------------------------------------------------- #

@@ -88,6 +88,32 @@ def test_mean_shift_drift_quarantined_then_recovers():
     assert [i for i, _ in gate.quarantined] == [3]
 
 
+def test_zero_spread_column_gets_no_drift_reference_until_it_spreads():
+    """A choice-branch service that never ran in the first accepted
+    window reads constant 0 there.  It must not become a zero-std drift
+    reference that quarantines every later window in which it runs."""
+    rng = np.random.default_rng(0)
+    gate = DataQualityGate(columns=COLS, min_rows=10, drift_threshold=6.0)
+    idle = _window(rng)
+    idle = Dataset({"x": np.zeros(100), "y": idle["y"]})
+    assert gate.inspect(idle).accepted
+    for _ in range(3):
+        v = gate.inspect(_window(rng))
+        assert v.accepted, v.reasons
+    assert gate.quarantined == []
+    # Once spread has been seen, the column is drift-checked as usual …
+    assert gate.reference()["x"][1] > 0.0
+    v = gate.inspect(_window(rng, x_mean=50.0))
+    assert not v.accepted and v.column_drift["x"] > 6.0
+    # … and before that, the NaN budget still applied to it.
+    fresh = DataQualityGate(columns=COLS, min_rows=10)
+    assert fresh.inspect(idle).accepted
+    assert "x" not in fresh.reference() and "y" in fresh.reference()
+    v = fresh.inspect(_window(rng, nan_frac=0.5))
+    assert not v.accepted and any("non-finite" in r for r in v.reasons)
+    assert "x" not in v.column_drift
+
+
 # --------------------------------------------------------------------- #
 # Accuracy tripwire
 # --------------------------------------------------------------------- #

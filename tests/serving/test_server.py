@@ -62,6 +62,29 @@ def test_bad_evidence_rejected_with_reasons_not_crash(fresh_discrete_model):
     assert srv.stats.n_rejected == 4 and srv.stats.n_queries == 4
 
 
+def test_odd_evidence_values_are_refused_per_row_not_raised(
+    fresh_discrete_model, ediamond_data
+):
+    train, _ = ediamond_data
+    model = fresh_discrete_model
+    srv = ModelServer(model, rng=0)
+    svc = _svc(model)
+    good = {svc: _mean(train, svc)}
+    rows = [good, {svc: [1.0, 2.0]}, {svc: "fast"}, {svc: None}, good]
+    results = srv.query_batch([model.response], rows)
+    assert [r.status for r in results] == [
+        STATUS_OK, STATUS_REJECTED, STATUS_REJECTED, STATUS_REJECTED, STATUS_OK,
+    ]
+    assert all("not a number" in r.reasons[0] for r in results[1:4])
+    binned = srv.query_batch(
+        [model.response], [{svc: "1"}, {svc: 2.0}, {svc: float("inf")}],
+        binned=True,
+    )
+    assert [r.status for r in binned] == [STATUS_OK, STATUS_OK, STATUS_REJECTED]
+    assert "not an integer" in binned[2].reasons[0]
+    assert srv.stats.n_rows_rejected == 4
+
+
 def test_binned_evidence_validated_against_cardinalities(fresh_discrete_model):
     model = fresh_discrete_model
     srv = ModelServer(model, rng=0)
@@ -163,6 +186,60 @@ def test_query_batch_survives_engine_fault_per_row(
     np.testing.assert_allclose(results[0].value, exact, atol=1e-10)
 
 
+def test_degraded_row_tries_the_compiled_tier_once(
+    fresh_discrete_model, ediamond_data
+):
+    """The batch kernel *is* the compiled tier: a row it cannot answer
+    walks the chain from the next tier, so one query charges the
+    compiled breaker once, as a lone chain walk always did."""
+    train, _ = ediamond_data
+    model = fresh_discrete_model
+    srv = ModelServer(model, rng=0)
+    a = _svc(model)
+    calls = []
+
+    def boom(kind, *args):
+        calls.append(kind)
+        raise RuntimeError("injected")
+
+    srv.chain.engine.failure_hook = boom
+    r = srv.query([model.response], {a: _mean(train, a)})
+    assert r.ok and r.tier == TIER_SWEEP
+    assert calls == ["batch"]
+    assert srv.breakers[TIER_COMPILED]._consecutive_failures == 1
+    rows = srv.query_batch(
+        [model.response], [{a: _mean(train, a)}, {a: _mean(train, a) * 2}]
+    )
+    assert [x.tier for x in rows] == [TIER_SWEEP, TIER_SWEEP]
+    assert calls == ["batch", "batch"]
+
+
+def test_columnar_lane_refuses_rows_not_calls(fresh_discrete_model):
+    model = fresh_discrete_model
+    srv = ModelServer(model, rng=0)
+    a = _svc(model)
+    card = model.network.cardinalities[a]
+    cr = srv.query_batch_columns(
+        [model.response], {a: np.array([0, card, 1, -1], dtype=np.int64)}
+    )
+    assert cr.ok and cr.n_valid == 2 and cr.pmfs.shape[0] == 2
+    assert cr.valid.tolist() == [True, False, True, False]
+    assert cr.counts == {STATUS_OK: 2, STATUS_REJECTED: 2}
+    assert any("out of range" in reason for reason in cr.reasons)
+    direct = model.network.compiled().query_batch(
+        [model.response], {a: np.array([0, 1])}
+    )
+    np.testing.assert_allclose(cr.pmfs, direct)
+    st = srv.stats.as_dict()
+    assert st["n_queries"] == 4 and st["n_ok"] == 2
+    assert st["n_rejected"] == st["n_rows_rejected"] == 2
+    # Rows with no evidence are answered by the kernel (the prior).
+    rows = srv.query_batch([model.response], [{}, {}])
+    prior = model.network.compiled().query([model.response]).values
+    assert all(r.ok and r.tier == TIER_COMPILED for r in rows)
+    np.testing.assert_allclose(rows[1].value, prior)
+
+
 # --------------------------------------------------------------------- #
 # Assessment surface
 # --------------------------------------------------------------------- #
@@ -238,3 +315,44 @@ def test_refresh_follows_rollback(
     assert srv.refresh() == 1
     r = srv.query([srv.model.response], {})
     assert r.ok and r.value.shape == (4,)
+
+
+def test_refresh_mid_query_answers_from_one_version(
+    tmp_path, fresh_discrete_model, ediamond_env, ediamond_data
+):
+    """A refresh() that lands while a query is binning its evidence must
+    not pair v1's bins with v2's engine: the answer is exactly v1's or
+    exactly v2's."""
+    from repro.core.kertbn import build_discrete_kertbn
+
+    train, _ = ediamond_data
+    reg = ModelRegistry(str(tmp_path / "reg"))
+    reg.publish(fresh_discrete_model)                       # v1: 4 bins
+    reg.publish(build_discrete_kertbn(ediamond_env.workflow, train, n_bins=3))
+    reg.activate(1)
+    srv = ModelServer(reg, rng=0)
+    assert srv.version == 1
+    response, svc = srv.model.response, _svc(srv.model)
+    # Far above every edge: v1's top bin (3) is out of range for v2.
+    evidence = {svc: 10.0 * float(np.max(train[svc]))}
+    expected = [
+        ModelServer(reg.load(v), rng=0).query([response], evidence).value
+        for v in (1, 2)
+    ]
+    disc = srv.model.discretizer
+    original = disc._bin
+
+    def swap_then_bin(x, edges):
+        if srv.version == 1:
+            reg.activate(2)
+            assert srv.refresh() == 2
+        return original(x, edges)
+
+    disc._bin = swap_then_bin
+    r = srv.query([response], evidence)
+    assert srv.version == 2  # the refresh really landed mid-query
+    assert r.ok and r.tier == TIER_COMPILED and not r.tier_errors
+    assert any(
+        e.shape == r.value.shape and np.array_equal(e, r.value)
+        for e in expected
+    )
